@@ -199,7 +199,7 @@ class Session:
 
         ``deadline_s`` (exhaustive only) bounds the optimization's wall
         clock; ``max_expressions``/``max_memory_mb`` cap memo size and
-        process peak RSS; ``cancellation`` takes a
+        process's current RSS; ``cancellation`` takes a
         :class:`~repro.resilience.CancellationToken` another thread may
         trip.  When any bound bites, ``on_budget="degrade"`` (default)
         falls back exact → sampled → greedy heuristic and reports how on
@@ -282,6 +282,7 @@ class Session:
                         observed=True,
                         ledger=ledger,
                         artifacts=artifacts,
+                        tokens=None if fp is None else fp.tokens,
                         **kwargs,
                     )
             result.trace = tracer.root
@@ -298,10 +299,11 @@ class Session:
                 max_memory_mb=max_memory_mb,
                 ledger=ledger,
                 artifacts=artifacts,
+                tokens=None if fp is None else fp.tokens,
                 **kwargs,
             )
         if ledger is not None:
-            self._attach_feedback_report(sql, result, ledger)
+            self._attach_feedback_report(result, ledger)
         if cache is not None:
             self._cache_admit(cache, key, fp, result, ledger, artifacts)
         return result
@@ -407,7 +409,7 @@ class Session:
             ledger = CardinalityLedger.load(feedback)
         return ledger if ledger else None
 
-    def _attach_feedback_report(self, sql: str, result, ledger) -> None:
+    def _attach_feedback_report(self, result, ledger) -> None:
         """Compute the chosen-plan delta and set ``result.feedback``.
 
         Re-optimizes the statement *without* the ledger and prices both
@@ -435,7 +437,8 @@ class Session:
             # there is no delta to report — and no baseline to re-derive.
             return
         options = getattr(result, "options", None) or self.options
-        baseline = Optimizer(self.catalog, options).optimize_sql(sql)
+        # The result's bound query: the baseline needs no parse or bind.
+        baseline = Optimizer(self.catalog, options).optimize(result.query)
         binding = ledger.binding(graph.universe.order)
         baseline_cost_feedback = plan_cost_under_ledger(
             baseline.best_plan, baseline.memo, binding, cost_model
@@ -472,6 +475,7 @@ class Session:
         observed: bool = False,
         ledger=None,
         artifacts=None,
+        tokens=None,
         **kwargs,
     ):
         """The untraced dispatch behind :meth:`optimize`.  ``observed``
@@ -479,7 +483,9 @@ class Session:
         that would otherwise run scope-less; ``ledger`` (already
         resolved by :meth:`_resolve_feedback`) feedback-recosts the
         exhaustive paths; ``artifacts`` (cached template artifacts)
-        short-circuits their exploration phase."""
+        short-circuits their exploration phase; ``tokens`` (the
+        fingerprint's token stream) spares the exhaustive parse a
+        second lexing pass."""
         obs_scope = None
         if observed:
             from repro.resilience.budget import BudgetScope
@@ -505,14 +511,14 @@ class Session:
                         f"prune_factor must be >= 1.0 (got {prune_factor:g})"
                     )
                 options = replace(options, pruning_factor=prune_factor)
+            with obs_phase("parse"):
+                statement = parse(sql, tokens)
+            with obs_phase("bind"):
+                bound = Binder(self.catalog).bind(statement)
             if resilience_args:
                 from repro.resilience.budget import Budget
                 from repro.resilience.degrade import optimize_resilient
 
-                with obs_phase("parse"):
-                    statement = parse(sql)
-                with obs_phase("bind"):
-                    bound = Binder(self.catalog).bind(statement)
                 return optimize_resilient(
                     self.catalog,
                     bound,
@@ -528,8 +534,8 @@ class Session:
                     ledger=ledger,
                     artifacts=artifacts,
                 )
-            return Optimizer(self.catalog, options).optimize_sql(
-                sql, scope=obs_scope, ledger=ledger, artifacts=artifacts
+            return Optimizer(self.catalog, options).optimize(
+                bound, scope=obs_scope, ledger=ledger, artifacts=artifacts
             )
         if method == "sampled":
             if prune_factor is not None:

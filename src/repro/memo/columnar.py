@@ -64,6 +64,7 @@ mirroring :mod:`repro.planspace.implicit.turbo` / ``counting``.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 
 from repro.algebra.logical import LogicalGet, LogicalJoin
@@ -127,6 +128,14 @@ class ColumnarUnsupported(Exception):
     falls back to the object implementation)."""
 
 
+def _memo_of(ref):
+    """Dereference a store's weak memo reference."""
+    memo = ref()
+    if memo is None:
+        raise MemoError("columnar store outlived its memo")
+    return memo
+
+
 class _PendingExprs:
     """``Group._pending`` hook: materialize a group's deferred blocks.
 
@@ -187,7 +196,9 @@ class ColumnarLogicalStore:
     """
 
     def __init__(self, memo, graph, allow_cross_products: bool):
-        self.memo = memo
+        #: weak: the memo owns the store (``memo.columnar_logical`` and
+        #: the groups' ``_pending`` hooks), never the other way round
+        self._memo = weakref.ref(memo)
         self.graph = graph
         self.allow_cross_products = allow_cross_products
         #: set by the builder once every block is emitted; an interrupted
@@ -208,6 +219,10 @@ class ColumnarLogicalStore:
         self.gid_by_mask: dict[int, int] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def memo(self):
+        return _memo_of(self._memo)
+
     @property
     def row_count(self) -> int:
         return len(self.sl)
@@ -287,9 +302,10 @@ class ColumnarLogicalStore:
         exprs = group._exprs
         gid = group.gid
         local = len(exprs) + 1
-        groups = self.memo.groups
+        memo = self.memo
+        groups = memo.groups
         join_op = self.graph.join_operator_m
-        fingerprints = self.memo._expr_fingerprints
+        fingerprints = memo._expr_fingerprints
         append = exprs.append
         for left, right in self.explored_pairs(gid):
             op = join_op(groups[left].mask, groups[right].mask)
@@ -462,7 +478,8 @@ class ColumnarPhysicalStore:
         root_order,
         edges=None,
     ):
-        self.memo = memo
+        #: weak, as on the logical store: the memo owns its stores
+        self._memo = weakref.ref(memo)
         self.graph = graph
         self.catalog = catalog
         self.config = config
@@ -494,7 +511,7 @@ class ColumnarPhysicalStore:
         #: builds, a preloaded lex-sorted byte matrix (row = kid = lex
         #: rank) when the vectorized emitter interned the cut universe
         self._keys = KeyTable(self.edges)
-        self.kid_bytes = self._keys.kid_bytes
+        self.kid_bytes = self._keys
 
         # Parallel row columns (signed 32-bit ints on CPython/Linux).
         self.tag = array("i")
@@ -532,6 +549,10 @@ class ColumnarPhysicalStore:
         self._group_ops: dict[int, list] = {}
         #: enabled join-rule tags in rule order (set by the builder)
         self._keyed_tags: tuple[int, ...] = (TAG_NLJ, TAG_HASH, TAG_MERGE)
+
+    @property
+    def memo(self):
+        return _memo_of(self._memo)
 
     # ------------------------------------------------------------------
     # kid interning (delegated to the shared hybrid key table)
@@ -664,8 +685,7 @@ class ColumnarPhysicalStore:
     # ------------------------------------------------------------------
     # lazy operator materialization
     # ------------------------------------------------------------------
-    def _mask_pair(self, row: int) -> tuple[int, int]:
-        groups = self.memo.groups
+    def _mask_pair(self, row: int, groups) -> tuple[int, int]:
         left = groups[self.c0[row]].mask
         tag = self.tag[row]
         right_gid = self.a[row] if tag == TAG_INLJ else self.c1[row]
@@ -732,18 +752,23 @@ class ColumnarPhysicalStore:
             self._group_ops[gid] = ops
         return ops
 
-    def row_op(self, row: int):
-        """The physical operator of one row, built on demand."""
+    def row_op(self, row: int, groups=None):
+        """The physical operator of one row, built on demand.  ``groups``
+        is the memo's group list, for callers that already hold it."""
         tag = self.tag[row]
         if tag in (TAG_NLJ, TAG_HASH, TAG_MERGE):
-            left_mask, right_mask = self._mask_pair(row)
+            if groups is None:
+                groups = self.memo.groups
+            left_mask, right_mask = self._mask_pair(row, groups)
             ops = self.join_ops(left_mask, right_mask)
             # ``_keyed_tags`` is the enabled-rule tag order; a keyless
             # orientation generates the NLJ prefix only, whose position
             # is the same.
             return ops[self._keyed_tags.index(tag)]
         if tag == TAG_INLJ:
-            left_mask, right_mask = self._mask_pair(row)
+            if groups is None:
+                groups = self.memo.groups
+            left_mask, right_mask = self._mask_pair(row, groups)
             return self.inlj_ops(left_mask, right_mask)[self.b[row]]
         if tag in (TAG_TABLE_SCAN, TAG_INDEX_SCAN) or tag in (
             TAG_FILTER,
@@ -789,9 +814,12 @@ class ColumnarPhysicalStore:
         local = self.logical_counts[gid] + 1
         start, end = self.group_rows(gid)
         append = exprs.append
+        groups = self.memo.groups
         for row in range(start, end):
             append(
-                GroupExpr(self.row_op(row), self.row_children(row), gid, local)
+                GroupExpr(
+                    self.row_op(row, groups), self.row_children(row), gid, local
+                )
             )
             local += 1
         for kid in self.group_sorts(gid):

@@ -230,8 +230,11 @@ class Optimizer:
 
         The cycle collector is paused for the duration: optimization
         allocates hundreds of thousands of short-lived tuples and memo
-        expressions but no reference cycles (children are group *ids*),
-        so generational GC passes only add pauses.  The pause is
+        expressions, and collector passes over them only add pauses.
+        The result needs no collector either: it holds no reference
+        cycles (children are group *ids*, and the columnar stores refer
+        to their memo weakly), so refcounting frees a dropped or
+        evicted result at once.  The pause is
         ref-counted (:func:`repro.util.gcguard.paused_gc`) so
         overlapping optimizations on sibling threads do not re-enable
         the collector for each other mid-flight.

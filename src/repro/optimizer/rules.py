@@ -32,6 +32,7 @@ Rule order (the order operators enter a group, which fixes the paper's
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 from repro.algebra.expressions import (
@@ -118,13 +119,16 @@ def equality_analysis(
     conjunct)``.  Join predicates are interned by the join graph, so
     across a whole memo the same predicate object is analyzed for both
     join orientations and for every implementation rule — the conjunct
-    walk happens exactly once.
+    walk happens exactly once.  A lone conjunct is not memoized: it would
+    appear in its own cached analysis, a reference cycle only the cycle
+    collector frees, and classifying one conjunct is cheap.
     """
     cached = predicate.__dict__.get("_eq_analysis")
     if cached is None:
         eq_pairs = []
         others: list[Scalar] = []
-        for conjunct in split_conjuncts(predicate):
+        conjuncts = split_conjuncts(predicate)
+        for conjunct in conjuncts:
             if (
                 isinstance(conjunct, Comparison)
                 and conjunct.op is CompOp.EQ
@@ -149,7 +153,8 @@ def equality_analysis(
             else:
                 others.append(conjunct)
         cached = (tuple(eq_pairs), tuple(others))
-        object.__setattr__(predicate, "_eq_analysis", cached)
+        if not (len(conjuncts) == 1 and conjuncts[0] is predicate):
+            object.__setattr__(predicate, "_eq_analysis", cached)
     return cached
 
 
@@ -226,13 +231,16 @@ _CROSS_NLJ = NestedLoopJoin(None)
 def nested_loop_join(predicate: Scalar | None) -> NestedLoopJoin:
     """The nested-loops operator for a predicate, interned per object:
     both orientations of a logical join share the predicate, so they share
-    the physical operator (and its cached memo key) too."""
+    the physical operator (and its cached memo key) too.  The predicate
+    holds its operator weakly: the operator refers to the predicate, and
+    a strong back-reference would make every join predicate cyclic."""
     if predicate is None:
         return _CROSS_NLJ
-    op = predicate.__dict__.get("_nlj_op")
+    ref = predicate.__dict__.get("_nlj_op")
+    op = None if ref is None else ref()
     if op is None:
         op = NestedLoopJoin(predicate)
-        object.__setattr__(predicate, "_nlj_op", op)
+        object.__setattr__(predicate, "_nlj_op", weakref.ref(op))
     return op
 
 

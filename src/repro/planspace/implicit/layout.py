@@ -132,7 +132,9 @@ class ImplicitLayout:
         self.root_order = bound.order_by
         self.join_root_gid = setup.join_root_gid
 
-        memo = setup.memo
+        #: the scratch memo the logical store is built over; the layout
+        #: owns it because the store refers to its memo only weakly
+        self.memo = memo = setup.memo
         self.root_gid: int = memo.root_group_id
         self.groups: list[ImplicitGroup] = []
         self.tower_gids: list[int] = []

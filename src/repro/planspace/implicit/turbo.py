@@ -412,7 +412,9 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     state.keys.preload(kid_mat, kid_lengths)
     state.sord = _SordView(np, KS, req_packed, QS)
     state.required = _RequiredView(np, KS, req_packed, regs_o)
-    state.sort_counts = _SortCountsView(state) if enforcers else {}
+    state.sort_counts = (
+        _SortCountsView(state.required, state.nonenf) if enforcers else {}
+    )
 
 
 class _SordView:
@@ -476,16 +478,18 @@ class _RequiredView:
 
 class _SortCountsView:
     """``mask -> per-sort counts`` — with paper-faithful redundant sorts
-    every enforcer of a group counts its non-enforcer total."""
+    every enforcer of a group counts its non-enforcer total.  Holds the
+    two mappings it reads, not the count state that owns the view."""
 
-    def __init__(self, state):
-        self._state = state
+    def __init__(self, required, nonenf):
+        self._required = required
+        self._nonenf = nonenf
 
     def __getitem__(self, mask):
-        kids = self._state.required.get(mask)
+        kids = self._required.get(mask)
         if kids is None:
             raise KeyError(mask)
-        return [self._state.nonenf[mask]] * len(kids)
+        return [self._nonenf[mask]] * len(kids)
 
     def get(self, mask, default=None):
         try:

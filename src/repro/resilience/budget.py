@@ -2,7 +2,7 @@
 
 A :class:`Budget` bounds one optimization attempt along three axes — a
 monotonic wall-clock deadline, a memo-expression ceiling, and a process
-peak-memory ceiling — and a :class:`CancellationToken` lets another
+resident-memory ceiling — and a :class:`CancellationToken` lets another
 thread abort it.  Both are consulted through a :class:`BudgetScope`,
 whose :meth:`~BudgetScope.checkpoint` is threaded through every hot loop
 of the optimizer (exploration subsets, implementation group blocks,
@@ -32,6 +32,7 @@ taxonomy, before any optimization work is spent.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 
@@ -90,14 +91,24 @@ def _positive_int(value: int | None, name: str) -> int | None:
     return value
 
 
-def _peak_rss_mb() -> float | None:
-    """Process peak RSS in MiB, or ``None`` where unavailable."""
+def _rss_mb() -> float | None:
+    """Current process RSS in MiB, or ``None`` where unavailable.
+
+    Reads ``/proc/self/statm``.  Without ``/proc`` it falls back to the
+    peak RSS (``ru_maxrss``), which never falls: there one big request
+    holds every later one to its high-water mark.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as statm:
+            pages = int(statm.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return None
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return rss_kb / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class CancellationToken:
@@ -131,8 +142,8 @@ class Budget:
     clock from :meth:`start` (so system clock adjustments cannot expire
     or extend it).  ``max_expressions`` bounds the number of memo
     expressions (logical + physical, counted as hot loops report units).
-    ``max_memory_mb`` bounds process peak RSS in MiB — a coarse but
-    dependable guard against a memo blowing up the heap.
+    ``max_memory_mb`` bounds the process's current RSS in MiB — a coarse
+    but dependable guard against a memo blowing up the heap.
     """
 
     def __init__(
@@ -209,11 +220,11 @@ class Budget:
                 resource="expressions",
             )
         if self.max_memory_mb is not None:
-            rss = _peak_rss_mb()
+            rss = _rss_mb()
             if rss is not None and rss > self.max_memory_mb:
                 raise ResourceExhausted(
                     f"memory ceiling of {self.max_memory_mb:g} MiB exceeded "
-                    f"(peak RSS {rss:.0f} MiB"
+                    f"(RSS {rss:.0f} MiB"
                     + (f", at {site})" if site else ")"),
                     resource="memory",
                 )

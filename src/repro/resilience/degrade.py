@@ -19,9 +19,9 @@ cancellation, or an arbitrary fault — is recorded and the ladder moves
 on; with ``on_budget="raise"`` the first budget error propagates
 instead.  Cancellation degrades straight to the heuristic tier (the
 sampled tier would observe the same cancelled token at its first
-checkpoint), as does a breached *memory* ceiling (peak RSS never
-shrinks, so re-trying a cheaper tier under the same ceiling cannot
-pass).
+checkpoint), as does a breached *memory* ceiling (the process is
+already over it, and the sampled tier allocates before its first
+checkpoint).
 
 Every serve attaches a :class:`ResilienceReport` (served tier, trigger,
 per-tier attempts with elapsed times) to the result's ``resilience``
@@ -269,7 +269,7 @@ def optimize_resilient(
         elif (
             isinstance(exc, ResourceExhausted) and exc.resource == "memory"
         ):
-            skip_sampled_reason = "peak RSS already over the ceiling"
+            skip_sampled_reason = "RSS already over the ceiling"
     else:
         return finish(result, "exact", started)
 

@@ -152,21 +152,21 @@ class FragmentPool:
 
     def assemble(self, choice: dict[tuple, int]) -> PlanNode:
         """Build the recombined plan from the DP's per-context choices."""
-        tables = self.tables
+        return self._build(self.root_ctx, choice)
 
-        def build(ctx: tuple) -> PlanNode:
-            gid = ctx[0]
-            row = self.fragments[ctx][choice[ctx]]
-            children = tuple(build(slot) for slot in row.slots)
-            return PlanNode(
-                op=tables.operator(gid, row),
-                children=children,
-                group_id=gid,
-                local_id=choice[ctx],
-                cardinality=tables.cardinality(gid),
-            )
-
-        return build(self.root_ctx)
+    def _build(self, ctx: tuple, choice: dict[tuple, int]) -> PlanNode:
+        # A method, not a recursive closure: a closure that calls itself
+        # is a reference cycle and would outlive the run until a full GC.
+        gid = ctx[0]
+        row = self.fragments[ctx][choice[ctx]]
+        children = tuple(self._build(slot, choice) for slot in row.slots)
+        return PlanNode(
+            op=self.tables.operator(gid, row),
+            children=children,
+            group_id=gid,
+            local_id=choice[ctx],
+            cardinality=self.tables.cardinality(gid),
+        )
 
 
 @dataclass

@@ -26,7 +26,7 @@ space.  Either changing yields a fresh key, never a stale hit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.sql.lexer import Token, TokenType, tokenize
 
@@ -49,10 +49,13 @@ class QueryFingerprint:
     single-spaced, literals replaced by ``?``); ``params`` carries the
     extracted ``(kind, value)`` pairs in occurrence order — the part of
     the cache key that distinguishes literal variants of one template.
+    ``tokens`` is the statement's token stream, kept so a cache miss
+    parses without lexing the text again; it is not part of the identity.
     """
 
     template: str
     params: tuple[tuple[str, str], ...]
+    tokens: list[Token] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def digest(self) -> str:
@@ -79,7 +82,8 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
     parts: list[str] = []
     params: list[tuple[str, str]] = []
     previous: Token | None = None
-    for token in tokenize(sql):
+    tokens = tokenize(sql)
+    for token in tokens:
         if token.type is TokenType.EOF:
             break
         if token.type in _LITERALS and not (
@@ -93,7 +97,9 @@ def fingerprint_sql(sql: str) -> QueryFingerprint:
         else:
             parts.append(token.value)
         previous = token
-    return QueryFingerprint(template=" ".join(parts), params=tuple(params))
+    return QueryFingerprint(
+        template=" ".join(parts), params=tuple(params), tokens=tokens
+    )
 
 
 # ----------------------------------------------------------------------

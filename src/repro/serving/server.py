@@ -62,7 +62,12 @@ class PlanServer:
         self.database = database
         self.options = options
         self.workers = workers
-        self.cache = PlanCache() if cache is None else (cache or None)
+        # ``is`` tests, not truthiness: an empty PlanCache has len 0
+        if cache is None:
+            cache = PlanCache()
+        elif cache is False:
+            cache = None
+        self.cache = cache
         self.deadline_s = deadline_s
         self.on_budget = on_budget
         #: one ledger shared by every worker session: feedback observed

@@ -76,8 +76,10 @@ _AGG_FUNCS = {
 class Parser:
     """Parses one SELECT statement from a token stream."""
 
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, tokens: list[Token] | None = None):
+        #: ``tokens``: the text's token stream when the caller already
+        #: lexed it (the plan cache fingerprints from the same stream)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
 
     # ------------------------------------------------------------------
@@ -382,6 +384,7 @@ class Parser:
         raise self._error(f"unexpected token {token.value!r} in expression")
 
 
-def parse(text: str) -> SelectStatement:
-    """Parse one SELECT statement."""
-    return Parser(text).parse_statement()
+def parse(text: str, tokens: list[Token] | None = None) -> SelectStatement:
+    """Parse one SELECT statement (``tokens``: ``tokenize(text)``, when
+    the caller already has it)."""
+    return Parser(text, tokens).parse_statement()

@@ -2,8 +2,11 @@
 
 The optimizer pauses generational GC for the duration of a call: it
 allocates hundreds of thousands of short-lived tuples and memo
-expressions but no reference cycles, so collector passes only add
-pauses.  ``gc.disable()``/``gc.enable()`` are *process-wide*, though —
+expressions, and collector passes over them only add pauses.  Nothing
+waits for the collector meanwhile: an optimization result holds no
+reference cycles (see "Ownership" in ``repro/memo/README.md``), so
+refcounting frees every dropped result, on any thread, at once.
+``gc.disable()``/``gc.enable()`` are *process-wide*, though —
 under a thread-pool front end (:mod:`repro.serving.server`), a sibling
 optimize finishing first would re-enable GC mid-flight for every other
 in-flight call.  :func:`paused_gc` nests instead: the collector is

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import resource
 import time
 
 import pytest
@@ -100,11 +102,39 @@ def test_budget_expression_ceiling():
 
 
 def test_budget_memory_ceiling():
-    # Peak RSS of any live python process dwarfs a 0.001 MiB ceiling.
+    # The RSS of any live python process dwarfs a 0.001 MiB ceiling.
     budget = Budget(max_memory_mb=0.001).start()
     with pytest.raises(ResourceExhausted) as info:
         budget.check("bestplan.layer")
     assert info.value.resource == "memory"
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+def test_memory_ceiling_reads_current_rss_not_the_peak():
+    # Big then small in one process: a large allocation (standing in for
+    # a big optimization) lifts the peak RSS and is freed again.  A
+    # ceiling between the current RSS and that peak must let the next
+    # small request through on the exact tier.
+    from repro.api import Session
+    from repro.workloads.synthetic import star_query
+
+    workload = star_query(4)
+    session = Session(workload.database)
+    session.optimize(workload.sql)  # warm imports and caches first
+    big = b"\x01" * (96 << 20)
+    del big
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    current = pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert peak - current > 48, (current, peak)
+    ceiling = (current + peak) / 2
+    result = session.optimize(
+        workload.sql, max_memory_mb=ceiling, on_budget="raise"
+    )
+    assert result.resilience.tier == "exact"
 
 
 def test_budget_elapsed_monotone():

@@ -200,8 +200,9 @@ def test_expression_ceiling_degrades(clique6):
 
 
 def test_memory_ceiling_skips_sampled(clique6):
-    # Peak RSS never shrinks, so retrying a cheaper tier under the same
-    # ceiling is futile: the ladder must go straight to the heuristic.
+    # The process is already over the ceiling, so retrying a cheaper
+    # tier under it is futile: the ladder must go straight to the
+    # heuristic.
     result = optimize_resilient(
         clique6.catalog,
         _bind(clique6),

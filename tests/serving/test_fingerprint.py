@@ -116,3 +116,32 @@ def test_fingerprint_is_idempotent_on_its_own_template(sql):
     fp = fingerprint_sql(sql)
     refp = fingerprint_sql(fp.template.replace("?", "1"))
     assert refp.template == fp.template
+
+
+def test_cache_miss_lexes_each_statement_once(monkeypatch):
+    import repro.serving.fingerprint as fingerprint_module
+    import repro.sql.parser as parser_module
+    from repro.api import Session
+    from repro.serving import PlanCache
+    from repro.sql.lexer import tokenize
+
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(fingerprint_module, "tokenize", counting_tokenize)
+    monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+    session = Session.tpch(seed=0)
+    session.plan_cache = PlanCache()
+    sql = (
+        "SELECT c.c_name FROM customer c, orders o "
+        "WHERE c.c_custkey = o.o_custkey AND o.o_totalprice < 1000"
+    )
+    session.execute(sql, feedback=True)  # the ledger now covers the join
+    calls.clear()
+    result = session.optimize(sql, feedback=True)
+    assert result.cache.tier == "miss"
+    assert result.feedback is not None  # the baseline optimize ran too
+    assert calls == [sql]

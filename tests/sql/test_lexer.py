@@ -98,3 +98,54 @@ class TestCommentsAndPositions:
         token = Token(TokenType.KEYWORD, "SELECT", 1, 1)
         assert token.is_keyword("select")
         assert not token.is_keyword("from")
+
+
+class TestErrorPositions:
+    def error(self, text):
+        with pytest.raises(LexerError) as info:
+            tokenize(text)
+        return str(info.value), info.value.line, info.value.column
+
+    def test_unterminated_string_reports_its_opening_quote(self):
+        # The trailing '' is an escaped quote, not the closing one.
+        message, line, column = self.error("x = 'ab''")
+        assert "unterminated string literal" in message
+        assert (line, column) == (1, 5)
+
+    def test_unexpected_character_after_newlines_and_comments(self):
+        message, line, column = self.error("a -- note\n\n  b ;")
+        assert "unexpected character ';'" in message
+        assert (line, column) == (3, 5)
+
+    def test_positions_after_multiline_string(self):
+        tokens = tokenize("'a\nbc' x")
+        assert tokens[0].value == "a\nbc"
+        assert (tokens[1].line, tokens[1].column) == (2, 5)
+
+
+class TestUnicode:
+    def test_letters_form_identifiers(self):
+        assert kinds("café _x名") == [
+            (TokenType.IDENT, "café"),
+            (TokenType.IDENT, "_x名"),
+        ]
+
+    def test_non_decimal_digits_lex_as_numbers(self):
+        assert kinds("²3 1e²") == [
+            (TokenType.INTEGER, "²3"),
+            (TokenType.FLOAT, "1e²"),
+        ]
+
+    def test_numeric_non_digit_cannot_start_a_word(self):
+        with pytest.raises(LexerError) as info:
+            tokenize("a ½b")
+        assert "unexpected character '½'" in str(info.value)
+        assert kinds("a½") == [(TokenType.IDENT, "a½")]
+
+    def test_digit_class_matches_str_isdigit(self):
+        import re
+
+        from repro.sql.lexer import _DIGIT
+
+        every = "".join(map(chr, range(0x110000)))
+        assert set(re.findall(_DIGIT, every)) == {c for c in every if c.isdigit()}
