@@ -8,6 +8,7 @@ reproduce the measurements this PR's numbers were taken with::
     PYTHONPATH=src python scripts/profile_explore.py --shape clique --n 10
     PYTHONPATH=src python scripts/profile_explore.py --cross --sort tottime
     PYTHONPATH=src python scripts/profile_explore.py --shape clique --n 12 --count-only
+    PYTHONPATH=src python scripts/profile_explore.py --shape clique --n 10 --sampled
 
 It also prints the per-phase wall timings (un-profiled, best of
 ``--repeat`` runs), read off the observability layer's span tree
@@ -22,6 +23,11 @@ full optimizer: layout simulation + analytic counting, no physical memo.
 Its numbers are directly comparable to the default mode's (same workload
 construction, same best-of-N protocol), which is how the implicit
 engine's headline wins are measured.
+
+``--sampled`` profiles one seed-0 ``SampledOptimizer`` call over the
+implicit engine instead (the query is parsed and bound outside the
+timed region): its phase line is ``space``, ``sample``, ``recombine``
+and ``assemble``.
 """
 
 from __future__ import annotations
@@ -128,6 +134,12 @@ def main(argv: list[str] | None = None) -> int:
         "path (best of --repeat), no cProfile pass — the phase-split "
         "measurement optimization PRs quote",
     )
+    parser.add_argument(
+        "--sampled",
+        action="store_true",
+        help="profile one seed-0 SampledOptimizer call (space, sample, "
+        "recombine, assemble) instead of the exact optimizer",
+    )
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.shape](args.n, rows=5, seed=0)
@@ -138,7 +150,29 @@ def main(argv: list[str] | None = None) -> int:
         return phase_timings(workload, args)
 
     mode = " count-only" if args.count_only else ""
-    if args.count_only:
+    if args.sampled:
+        from repro.sampledopt import SampledOptimizer
+        from repro.sql.binder import Binder
+        from repro.sql.parser import parse
+
+        mode = " sampled"
+        bound = Binder(workload.catalog).bind(parse(workload.sql))
+        optimizer = SampledOptimizer(workload.catalog, options)
+
+        def run():
+            tracer = Tracer()
+            with tracing(tracer), tracer.span("sampled"):
+                result = optimizer.optimize(bound, seed=0)
+            return result, tracer.root
+
+        def summarize(result):
+            return (
+                f"sampled: {result.samples} samples of {result.total_plans:,} "
+                f"plans, best sampled {result.best_sampled_cost:,.1f}, "
+                f"recombined {result.best_cost:,.1f}\n"
+            )
+
+    elif args.count_only:
         from repro.planspace.implicit import ImplicitPlanSpace
 
         def run():

@@ -1,9 +1,9 @@
 """Setup shim.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in
-offline environments whose setuptools/pip lack the ``wheel`` package
-needed for PEP 517 editable installs (pip falls back to
-``setup.py develop`` with ``--no-use-pep517``).
+The package metadata lives in ``pyproject.toml``.  This file lets
+``python setup.py develop`` install the package in place where
+``pip install -e .`` cannot: pip's editable install needs the ``wheel``
+package, and offline environments may not have it.
 """
 
 from setuptools import setup

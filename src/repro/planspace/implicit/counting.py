@@ -96,6 +96,11 @@ class CountState:
     tower_totals: dict[int, int] = field(default_factory=dict)
     tower_nonenf: dict[int, int] = field(default_factory=dict)
 
+    #: the turbo pass's per-split arrays (:class:`.turbo.SplitColumns`),
+    #: which the unranking tables read join groups from; None when the
+    #: reference pass counted
+    split_columns: object = None
+
     root_kid: int | None = None
     total: int = 0
     physical_count: int = 0

@@ -23,13 +23,17 @@ columnar array passes, one per subset-size layer:
 Everything the rest of the engine consumes (``A``, ``nonenf``, ``sord``,
 the ordered requirement registry, sort counts) is exported in the same
 shape the reference pass produces — as lazy array-backed views, so a
-count-only run pays for no Python-level dict materialization.  The turbo
-path requires the default rule configuration (no index-lookup joins,
-paper-faithful redundant sorts); ablations fall back to the reference
-pass.
+count-only run pays for no Python-level dict materialization.  The
+per-split arrays themselves are kept as :class:`SplitColumns`: the
+unranking tables (:mod:`.tables`) read a join group's alternatives
+straight from them.  The turbo path requires the default rule
+configuration (no index-lookup joins, paper-faithful redundant sorts);
+ablations fall back to the reference pass.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from repro.errors import PlanSpaceError
 from repro.kernel.vector import (
@@ -105,9 +109,12 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
         )
         sl_col = np.frombuffer(store.sl, dtype=np.intc)
         sr_col = np.frombuffer(store.sr, dtype=np.intc)
-        Ls = mask_lut[sl_col[gather]]
-        Rs = mask_lut[sr_col[gather]]
+        Lg = sl_col[gather]
+        Rg = sr_col[gather]
+        Ls = mask_lut[Lg]
+        Rs = mask_lut[Rg]
     else:
+        Lg = Rg = np.zeros(0, np.intc)
         Ls = np.zeros(0, np.int64)
         Rs = np.zeros(0, np.int64)
     Ss = Ls | Rs
@@ -297,6 +304,7 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     DS = np.empty(ND, dtype=object)
     DS[:] = 0
 
+    q_l_lr = q_r_lr = q_r_rl = q_l_rl = None
     if merge and M:
         d_lr = np.searchsorted(D_packed, Ss * KS + lk_lr)
         d_rl = np.searchsorted(D_packed, Ss * KS + lk_rl)
@@ -415,6 +423,80 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     state.sort_counts = (
         _SortCountsView(state.required, state.nonenf) if enforcers else {}
     )
+    offsets = {}
+    base = 0
+    for g, count in zip(join_groups, split_counts):
+        offsets[g.gid] = (base, count)
+        base += count
+    state.split_columns = SplitColumns(
+        offsets=offsets,
+        L=Ls,
+        R=Rs,
+        Lg=Lg,
+        Rg=Rg,
+        has_keys=has_keys,
+        kids=(lk_lr, rk_lr, lk_rl, rk_rl),
+        queries=(q_l_lr, q_r_lr, q_r_rl, q_l_rl),
+        QS=QS,
+        A=A_obj,
+        hi_rank=hi_rank,
+        plain_keys=plain_keys,
+        plain_cross=plain_cross,
+        merge=merge,
+    )
+
+
+@dataclass(eq=False)
+class SplitColumns:
+    """The per-split arrays of one turbo pass, kept for unranking.
+
+    Splits are flattened gid-major; ``offsets[gid]`` is a join group's
+    ``(first split, split count)``.  Per split: child masks ``L``/``R``,
+    child gids ``Lg``/``Rg``, ``has_keys``, and — valid where
+    ``has_keys`` — the four kid columns ``(lk_lr, rk_lr, lk_rl, rk_rl)``
+    (``lr`` is the ``(L, R)`` orientation, ``rl`` the commuted one) and
+    the matching query-slot columns ``(q_l_lr, q_r_lr, q_r_rl, q_l_rl)``
+    into ``QS``, whose entries are ``S(g, q)``.  ``A`` is the group total
+    by mask and ``hi_rank`` the kid prefix intervals.  These are the
+    pass's own arrays: keeping them computes nothing.
+    """
+
+    offsets: dict[int, tuple[int, int]]
+    L: object
+    R: object
+    Lg: object
+    Rg: object
+    has_keys: object
+    kids: tuple
+    queries: tuple
+    QS: object
+    A: object
+    hi_rank: object
+    plain_keys: int
+    plain_cross: int
+    merge: bool
+    _oriented: tuple | None = field(default=None, repr=False)
+
+    def oriented(self) -> tuple:
+        """``(left query slot, right query slot, left kid, right kid)``
+        per orientation — ``2s`` is split ``s`` as stored, ``2s + 1`` its
+        commute — interleaved from the split columns on first use."""
+        if self._oriented is None:
+            import numpy as np
+
+            q_l_lr, q_r_lr, q_r_rl, q_l_rl = self.queries
+            lk_lr, rk_lr, lk_rl, rk_rl = self.kids
+
+            def weave(lr, rl):
+                return np.stack((lr, rl), axis=1).ravel()
+
+            self._oriented = (
+                weave(q_l_lr, q_r_rl),
+                weave(q_r_lr, q_l_rl),
+                weave(lk_lr, lk_rl),
+                weave(rk_lr, rk_rl),
+            )
+        return self._oriented
 
 
 class _SordView:
@@ -436,44 +518,36 @@ class _SordView:
             raise KeyError(key)
         return self._QS[pos]
 
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
 
 class _RequiredView:
-    """Lazy ``mask -> ordered kid list`` (global first-occurrence order)."""
+    """Lazy ``mask -> ordered kid list`` (global first-occurrence order).
+
+    Answered per mask from the requirement columns: a mask's
+    requirements are one contiguous segment of the sorted registry.  The
+    first lookup reorders each segment by where its entries first occur
+    in the emission stream; no dict over every mask is ever built.
+    """
 
     def __init__(self, np, KS, req_packed, regs_emission_order):
         self._np = np
         self._KS = KS
         self._req_packed = req_packed
         self._regs = regs_emission_order
-        self._by_mask: dict[int, list[int]] | None = None
-
-    def _materialize(self) -> dict[int, list[int]]:
-        if self._by_mask is None:
-            np = self._np
-            _pairs, first = np.unique(self._regs, return_index=True)
-            by_mask: dict[int, list[int]] = {}
-            for pos in np.argsort(first, kind="stable"):
-                packed = int(_pairs[pos])
-                by_mask.setdefault(packed // self._KS, []).append(
-                    packed % self._KS
-                )
-            self._by_mask = by_mask
-        return self._by_mask
-
-    def __getitem__(self, mask):
-        return self._materialize()[mask]
+        self._kids = None  # registry kids, first-occurrence order per mask
 
     def get(self, mask, default=None):
-        return self._materialize().get(mask, default)
-
-    def __contains__(self, mask):
-        return mask in self._materialize()
+        packed = self._req_packed
+        KS = self._KS
+        lo = int(packed.searchsorted(mask * KS))
+        hi = int(packed.searchsorted((mask + 1) * KS))
+        if lo == hi:
+            return default
+        if self._kids is None:
+            np = self._np
+            _pairs, first = np.unique(self._regs, return_index=True)
+            order = np.lexsort((first, packed // KS))
+            self._kids = packed[order] % KS
+        return self._kids[lo:hi].tolist()
 
 
 class _SortCountsView:
@@ -485,14 +559,8 @@ class _SortCountsView:
         self._required = required
         self._nonenf = nonenf
 
-    def __getitem__(self, mask):
+    def get(self, mask, default=None):
         kids = self._required.get(mask)
         if kids is None:
-            raise KeyError(mask)
-        return [self._nonenf[mask]] * len(kids)
-
-    def get(self, mask, default=None):
-        try:
-            return self[mask]
-        except KeyError:
             return default
+        return [self._nonenf[mask]] * len(kids)

@@ -3,17 +3,16 @@
 The recurrences are the paper's (Section 3.3), identical to
 :class:`repro.planspace.unranking.Unranker` — only the candidate lists
 are implicit: instead of materialized link arrays they come from
-:class:`~.tables.TableSet`, which reconstructs a group's alternatives on
-first touch.  Operator selection bisects the list's prefix sums, the
-local rank splits by the row's ``B_v`` products, and each child recurses
-with its slot's requirement.  A single unranking therefore instantiates
-O(depth) group tables and exactly the plan's operators — never the
-physical memo.
+:class:`~.tables.TableSet`, which lays out a group's alternatives as
+counts on first touch.  Operator selection bisects the list's prefix
+sums and builds the one row it lands on, the local rank splits by that
+row's ``B_v`` products, and each child recurses with its slot's
+requirement.  A single unranking therefore touches O(depth) group tables
+and builds exactly the plan's rows and operators — never the physical
+memo.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from repro.errors import PlanSpaceError, RankOutOfRangeError
 from repro.optimizer.plan import PlanNode
@@ -46,16 +45,7 @@ class ImplicitUnranker:
         return self._unrank_among(self._root_candidates(), rank)
 
     def _unrank_among(self, candidates: CandidateList, rank: int) -> PlanNode:
-        cumulative = candidates.cumulative
-        # bisect over the exclusive prefix sums = the paper's linear
-        # prefix-sum scan, sublinear in wide groups
-        pos = bisect_right(cumulative, rank) - 1
-        if pos >= len(candidates.rows):  # pragma: no cover - guarded by total
-            raise PlanSpaceError(
-                f"rank {rank} exceeds the {cumulative[-1]} plans of this list"
-            )
-        row = candidates.rows[pos]
-        local = rank - cumulative[pos]
+        row, local = candidates.pick(rank)
         tables = self.tables
         n = len(row.slots)
         children = []
@@ -88,21 +78,16 @@ class ImplicitUnranker:
         return self._rank_among(self._root_candidates(), plan)
 
     def _rank_among(self, candidates: CandidateList, plan: PlanNode) -> int:
-        row = None
-        skipped = 0
-        for pos, candidate in enumerate(candidates.rows):
-            if (
-                candidates.gid == plan.group_id
-                and candidate.local_id == plan.local_id
-            ):
-                row = candidate
-                skipped = candidates.cumulative[pos]
-                break
-        if row is None:
+        index = None
+        if candidates.gid == plan.group_id:
+            index = candidates.index_of(plan.local_id)
+        if index is None:
             raise PlanSpaceError(
                 f"operator {plan.expr_id} is not a valid candidate here "
                 "(plan does not belong to this space)"
             )
+        row = candidates.row(index)
+        skipped = candidates.cumulative[index]
         local = 0
         for i, (child_gid, requirement) in enumerate(row.slots):
             sub_rank = self._rank_among(

@@ -102,7 +102,7 @@ class FragmentPool:
         stack = [(plan, self.root_ctx)]
         while stack:
             node, ctx = stack.pop()
-            row = tables.table(node.group_id).row_by_local[node.local_id]
+            row = tables.row(node.group_id, node.local_id)
             pooled = fragments.get(ctx)
             if pooled is None:
                 fragments[ctx] = pooled = {}

@@ -52,45 +52,54 @@ class Stratum:
 
 
 class _Node:
-    """A refinable stratum: either a full candidate list (``row=None``)
-    or one row of it, pending descent into its last child slot."""
+    """A refinable stratum: either a full candidate list (``index=None``)
+    or row ``index`` of ``candidates``, pending descent into its last
+    child slot.  A row node holds a list position, not a row: the row is
+    built only if the node is refined."""
 
-    __slots__ = ("gid", "req", "row", "lo", "hi", "label", "depth")
+    __slots__ = ("gid", "req", "candidates", "index", "lo", "hi", "label", "depth")
 
-    def __init__(self, gid, req, row, lo, hi, label, depth):
+    def __init__(self, gid, req, candidates, index, lo, hi, label, depth):
         self.gid = gid
         self.req = req
-        self.row = row
+        self.candidates = candidates
+        self.index = index
         self.lo = lo
         self.hi = hi
         self.label = label
         self.depth = depth
 
 
-def _expand(node: _Node, tables) -> list[_Node] | None:
-    """Refine one stratum a single level; None = atomic."""
-    if node.row is None:
+def _expand(node: _Node, tables, room: int) -> list[_Node] | None:
+    """Refine one stratum a single level into at most ``room`` strata;
+    None = atomic or too wide (checked before any stratum is made)."""
+    if node.index is None:
         candidates = tables.candidates(node.gid, node.req)
-        rows = candidates.rows
-        if not rows:
+        n = len(candidates)
+        if not n or n > room:
             return None
         # hi - lo = total * span: each unit of this list's rank space
         # covers `span` full ranks (the faster-varying choices upstream)
         span = (node.hi - node.lo) // candidates.total
-        out = []
-        for pos, row in enumerate(rows):
-            lo = node.lo + candidates.cumulative[pos] * span
-            hi = node.lo + candidates.cumulative[pos + 1] * span
-            label = (
-                f"{node.label}/{node.gid}.{row.local_id}"
-                if node.label
-                else f"{node.gid}.{row.local_id}"
+        cumulative = candidates.cumulative
+        prefix = f"{node.label}/{node.gid}." if node.label else f"{node.gid}."
+        depth = node.depth + 1
+        return [
+            _Node(
+                node.gid,
+                node.req,
+                candidates,
+                index,
+                node.lo + cumulative[index] * span,
+                node.lo + cumulative[index + 1] * span,
+                f"{prefix}{candidates.local_id(index)}",
+                depth,
             )
-            out.append(
-                _Node(node.gid, node.req, row, lo, hi, label, node.depth + 1)
-            )
-        return out
-    row = node.row
+            for index in range(n)
+        ]
+    if room < 1:
+        return None
+    row = node.candidates.row(node.index)
     if not row.slots:
         return None
     # descend into the slowest-varying (last) slot: its sub-rank has
@@ -98,7 +107,10 @@ def _expand(node: _Node, tables) -> list[_Node] | None:
     # sub-block of this row's interval
     child_gid, child_req = row.slots[-1]
     return [
-        _Node(child_gid, child_req, None, node.lo, node.hi, node.label, node.depth)
+        _Node(
+            child_gid, child_req, None, None, node.lo, node.hi, node.label,
+            node.depth,
+        )
     ]
 
 
@@ -121,7 +133,7 @@ def rank_strata(
     state = space.state
     tables = space.unranker.tables
     root = _Node(
-        state.layout.root_gid, state.root_kid, None, 0, total, "", 0
+        state.layout.root_gid, state.root_kid, None, None, 0, total, "", 0
     )
     # heap of refinable nodes, largest interval first (ties: FIFO)
     counter = 0
@@ -132,9 +144,7 @@ def rank_strata(
         _, _, node = heapq.heappop(heap)
         children = None
         if node.depth < max_depth:
-            children = _expand(node, tables)
-        if children is not None and leaves - 1 + len(children) > max_strata:
-            children = None
+            children = _expand(node, tables, max_strata - leaves + 1)
         if children is None:
             done.append(node)
             continue

@@ -1,11 +1,85 @@
 """Plan-shape strata and stratified sampling."""
 
+import heapq
+
 import pytest
 
 from repro.optimizer.optimizer import OptimizerOptions
 from repro.planspace.implicit import ImplicitPlanSpace
 from repro.sampledopt.strata import StratifiedSampler, rank_strata
-from repro.workloads.synthetic import chain_query, clique_query
+from repro.workloads.synthetic import (
+    chain_query,
+    clique_query,
+    cycle_query,
+    star_query,
+)
+
+SHAPES = {
+    "chain": chain_query,
+    "star": star_query,
+    "clique": clique_query,
+    "cycle": cycle_query,
+}
+
+#: the implicit property suite's smoke topologies
+TOPOLOGIES = [
+    (shape, n, cross)
+    for shape in SHAPES
+    for n in (3, 4, 5, 6)
+    for cross in (False, True)
+    if not (shape == "clique" and cross and n > 5)
+]
+
+
+def _naive_strata(space, target, max_strata, max_depth=64):
+    """The partition refined the direct way: every row of a candidate
+    list becomes a stratum first, and a list too wide for ``max_strata``
+    is dropped afterwards."""
+    tables = space.unranker.tables
+    total = space.count()
+    state = space.state
+    # node: (gid, requirement, row, lo, hi, label, depth)
+    root = (state.layout.root_gid, state.root_kid, None, 0, total, "", 0)
+    heap = [(-total, 0, root)]
+    counter = 0
+    done = []
+    leaves = 1
+    while heap and leaves < target:
+        _, _, node = heapq.heappop(heap)
+        gid, requirement, row, lo, hi, label, depth = node
+        children = None
+        if depth < max_depth:
+            if row is None:
+                candidates = tables.candidates(gid, requirement)
+                rows = [candidates.row(i) for i in range(len(candidates))]
+                if rows:
+                    span = (hi - lo) // candidates.total
+                    children = []
+                    for pos, child in enumerate(rows):
+                        part = f"{gid}.{child.local_id}"
+                        children.append((
+                            gid,
+                            requirement,
+                            child,
+                            lo + candidates.cumulative[pos] * span,
+                            lo + candidates.cumulative[pos + 1] * span,
+                            f"{label}/{part}" if label else part,
+                            depth + 1,
+                        ))
+            elif row.slots:
+                child_gid, child_req = row.slots[-1]
+                children = [(child_gid, child_req, None, lo, hi, label, depth)]
+        if children is not None and leaves - 1 + len(children) > max_strata:
+            children = None
+        if children is None:
+            done.append(node)
+            continue
+        leaves += len(children) - 1
+        for child in children:
+            counter += 1
+            heapq.heappush(heap, (-(child[4] - child[3]), counter, child))
+    done.extend(node for _, _, node in heap)
+    return sorted((node[5] or "(root)", node[3], node[4]) for node in done)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +138,24 @@ class TestRankStrata:
         )
         strata = rank_strata(space, target=64)
         assert sum(stratum.size for stratum in strata) == space.count()
+
+
+@pytest.mark.parametrize("shape,n,cross", TOPOLOGIES)
+def test_strata_match_the_naive_refinement(shape, n, cross):
+    """Checking a list's width before refining it changes no stratum, on
+    either counting path (wide lists are skipped, narrow ones kept)."""
+    workload = SHAPES[shape](n, rows=5, seed=0)
+    options = OptimizerOptions(allow_cross_products=cross)
+    for use_turbo in (True, False):
+        space = ImplicitPlanSpace.from_sql(
+            workload.catalog, workload.sql, options=options, use_turbo=use_turbo
+        )
+        for target, max_strata in ((64, 4096), (64, 12), (512, 40)):
+            strata = rank_strata(space, target=target, max_strata=max_strata)
+            got = sorted((s.label, s.lo, s.hi) for s in strata)
+            assert got == _naive_strata(space, target, max_strata), (
+                shape, n, cross, use_turbo, target, max_strata
+            )
 
 
 class TestStratifiedSampler:
