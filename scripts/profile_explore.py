@@ -27,7 +27,10 @@ engine's headline wins are measured.
 ``--sampled`` profiles one seed-0 ``SampledOptimizer`` call over the
 implicit engine instead (the query is parsed and bound outside the
 timed region): its phase line is ``space``, ``sample``, ``recombine``
-and ``assemble``.
+and ``assemble``, followed by the ``sample`` span's counters — the
+distinct rows priced and the row operators built while sampling (only
+scan, sort, unary and index-lookup-join rows need one; join rows price
+by kind).
 """
 
 from __future__ import annotations
@@ -150,6 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         return phase_timings(workload, args)
 
     mode = " count-only" if args.count_only else ""
+    counters = None
     if args.sampled:
         from repro.sampledopt import SampledOptimizer
         from repro.sql.binder import Binder
@@ -170,6 +174,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"sampled: {result.samples} samples of {result.total_plans:,} "
                 f"plans, best sampled {result.best_sampled_cost:,.1f}, "
                 f"recombined {result.best_cost:,.1f}\n"
+            )
+
+        def counters(root):
+            sample = root.find("sample").counters
+            return (
+                f"sample: {sample['rows_priced']:,} rows priced, "
+                f"{sample['operators_built']:,} operators built"
             )
 
     elif args.count_only:
@@ -209,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{workload.name} cross={'on' if args.cross else 'off'}{mode}: "
         f"total {root.elapsed_s:.4f}s  {_phase_line(root)}"
     )
+    if counters is not None:
+        print(counters(root))
     print(summarize(outcome))
 
     profiler = cProfile.Profile()

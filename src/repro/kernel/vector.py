@@ -30,6 +30,7 @@ __all__ = [
     "decode_bit_rows",
     "union_words_by_mask",
     "first_occurrence_order",
+    "sorted_unique",
     "range_min_pairs",
 ]
 
@@ -272,6 +273,20 @@ def union_words_by_mask(np, bit_words, masks, nbits):
         if sel.any():
             out[sel] |= bit_words[i]
     return out
+
+
+def sorted_unique(np, a):
+    """The sorted distinct values of a 1-D array — ``np.unique(a)``'s
+    output, by a sort and a neighbour-inequality mask.  numpy 2.x's
+    default ``np.unique`` hashes, which on large integer key arrays is
+    several times slower than sorting."""
+    a = np.sort(a, axis=None)
+    if len(a) < 2:
+        return a
+    keep = np.empty(len(a), dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def first_occurrence_order(np, codes):

@@ -66,6 +66,9 @@ class _Best:
 _MISSING = object()
 _INFINITY = float("inf")
 
+#: join row tag -> the ``CostModel.join_cost`` kind it prices as
+_JOIN_KINDS = {TAG_NLJ: "nlj", TAG_HASH: "hash", TAG_MERGE: "merge"}
+
 #: trivial per-child requirements by arity, for operators inheriting the
 #: base class's ``required_child_order``
 _EMPTY_REQS: tuple[tuple, ...] = ((), ((),), ((), ()), ((), (), ()))
@@ -586,29 +589,15 @@ class ColumnarBestPlanSearch:
         store = self.store
         tag = store.tag[row]
         card = self._card
-        p = self.cost_model.params
-        if tag == TAG_NLJ:
-            outer = card[store.c0[row]]
-            inner = card[store.c1[row]]
-            return outer * p.nlj_outer_row + outer * inner * p.nlj_pair
-        if tag == TAG_HASH:
-            probe = card[store.c0[row]]
-            build = card[store.c1[row]]
-            out = card[store.gid[row]]
-            return (
-                build * p.hash_build_row
-                + probe * p.hash_probe_row
-                + out * p.join_output_row
+        out = card[store.gid[row]]
+        kind = _JOIN_KINDS.get(tag)
+        if kind is not None:
+            return self.cost_model.join_cost(
+                kind, out, (card[store.c0[row]], card[store.c1[row]])
             )
-        if tag == TAG_MERGE:
-            left = card[store.c0[row]]
-            right = card[store.c1[row]]
-            out = card[store.gid[row]]
-            return (left + right) * p.merge_row + out * p.join_output_row
         # Scans, unary operators and index-lookup joins price through the
         # cost model itself (their formulas need catalog/operator state).
         op = store.row_op(row)
-        out = card[store.gid[row]]
         if tag in (TAG_TABLE_SCAN, TAG_INDEX_SCAN):
             child_rows: tuple = ()
         else:

@@ -137,6 +137,15 @@ class CostModel:
                 return formula(self, op, output_rows, child_rows)
         raise OptimizerError(f"no cost formula for operator {op.name}")
 
+    def join_cost(
+        self, kind: str, output_rows: float, child_rows: tuple[float, float]
+    ) -> float:
+        """Local cost of a ``nlj``, ``hash`` or ``merge`` join by kind —
+        the same formula ``operator_cost`` applies to the operator (none
+        of the three reads it), for callers that hold no operator object.
+        """
+        return _JOIN_FORMULAS[kind](self, None, output_rows, child_rows)
+
     # -- per-operator formulas (bound through the dispatch table) -------
     def _cost_table_scan(self, op, output_rows, child_rows) -> float:
         return self.table_rows(op.table) * self.params.seq_row
@@ -216,11 +225,11 @@ class CostModel:
         return total
 
     def plan_costs(self, plans: list[PlanNode]) -> list[float]:
-        """Batch-cost many plans (the sampled-costing hot path).
+        """Batch-cost many assembled plans (``plan_cost`` per plan).
 
-        One entry point for pipelines that cost whole samples at a time —
-        e.g. :mod:`repro.sampledopt` costs every sampled plan of a batch
-        before consulting its stopping rule.
+        The sampled optimizer does not come through here: it prices each
+        drawn rank while walking it (``FragmentPool.add_rank``) and never
+        assembles the sampled plans.
         """
         plan_cost = self.plan_cost
         return [plan_cost(plan) for plan in plans]
@@ -240,4 +249,11 @@ _FORMULAS = {
     HashAggregate: CostModel._cost_hash_aggregate,
     StreamAggregate: CostModel._cost_stream_aggregate,
     PhysicalProject: CostModel._cost_project,
+}
+
+#: join kind (``join_physical_kinds``) -> unbound cost formula
+_JOIN_FORMULAS = {
+    "nlj": CostModel._cost_nested_loop_join,
+    "hash": CostModel._cost_hash_join,
+    "merge": CostModel._cost_merge_join,
 }

@@ -5,8 +5,8 @@ aggregates.  Unranking must: selecting the operator for a rank bisects
 the prefix sums of one group's alternatives in ``local_id`` order (the
 paper's Section 3.3).  A group's table yields exactly the rows the
 materializer would have inserted — same order, same local ids — but as
-*counts*: a :class:`Row` is built only for a row that a rank, ``rank()``,
-the fragment pool or a test actually asks for.  A rank's plan touches
+*counts*: a :class:`Row` is built only for a row that a rank, ``rank()``
+or a test actually asks for.  A rank's plan touches
 O(depth) groups and one row in each; repeated unrankings share tables,
 candidate lists and rows.
 
@@ -135,12 +135,6 @@ class _Table:
         if row is None:
             row = self.built[position] = self._make_row(position)
         return row
-
-    def row(self, local_id: int) -> Row:
-        position = local_id - self.first_local
-        if 0 <= position < len(self.built):
-            return self.built[position] or self.row_at(position)
-        raise PlanSpaceError(f"group {self.gid} has no physical operator {local_id}")
 
     @property
     def rows(self) -> list[Row]:
@@ -501,11 +495,6 @@ class TableSet:
             self._tables[gid] = table
         return table
 
-    def row(self, gid: int, local_id: int) -> Row:
-        """The row of operator ``gid.local_id``."""
-        table = self._tables.get(gid) or self.table(gid)
-        return table.row(local_id)
-
     def candidates(self, gid: int, requirement) -> CandidateList:
         """The qualifying rows of ``(group, requirement)`` in local order.
 
@@ -567,6 +556,11 @@ class TableSet:
                     ops = []
             self._inlj_ops[key] = ops
         return ops
+
+    @property
+    def operators_built(self) -> int:
+        """Distinct row operators built so far."""
+        return len(self._op_cache)
 
     def operator(self, gid: int, row: Row):
         """The physical operator of ``row`` (built on first use)."""

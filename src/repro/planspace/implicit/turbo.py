@@ -43,6 +43,7 @@ from repro.kernel.vector import (
     intern_rows as _intern_rows,
     lex_rank_rows,
     prefix_intervals,
+    sorted_unique,
 )
 from repro.optimizer.rules import join_rule_arity, scan_implementations
 
@@ -277,7 +278,7 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
             regs_o = np.concatenate([regs_o, extra_packed])
     else:
         regs_o = extra_packed
-    req_packed = np.unique(regs_o)
+    req_packed = sorted_unique(np, regs_o)
     NQ = len(req_packed)
     req_masks = req_packed // KS
     req_kids = req_packed % KS
@@ -298,7 +299,9 @@ def _turbo_rels_pass(np, state, extra_pairs) -> None:
     if len(leaf_packed):
         d_parts.append(leaf_packed)
     D_packed = (
-        np.unique(np.concatenate(d_parts)) if d_parts else np.zeros(0, np.int64)
+        sorted_unique(np, np.concatenate(d_parts))
+        if d_parts
+        else np.zeros(0, np.int64)
     )
     ND = len(D_packed)
     DS = np.empty(ND, dtype=object)

@@ -4,12 +4,13 @@ The paper's machinery (count, unrank, uniform sample) was built to
 *study* plan spaces; this package turns it into an optimizer that never
 materializes the physical memo:
 
-* :mod:`.costing` — batch plan costing straight off the implicit engine
-  (``CostModel.plan_costs`` over sampled ``PlanNode``\\ s, lazily cached
-  group cardinalities) plus per-fragment local costs;
-* :mod:`.search` — the best-of-k anytime optimizer: sample, batch-cost,
-  recombine fragments with a dynamic program (exact over the sampled
-  sub-memo), consult a stopping rule, repeat;
+* :mod:`.costing` — per-row local costs straight off the implicit
+  tables (lazily cached group cardinalities; join rows priced by kind,
+  with no operator object);
+* :mod:`.search` — the best-of-k anytime optimizer: sample, price and
+  pool each drawn rank in one walk over the candidate lists (no plan is
+  assembled), recombine fragments with a dynamic program (exact over
+  the sampled sub-memo), consult a stopping rule, repeat;
 * :mod:`.stopping` — fixed-k, cost-plateau and PAO-style quantile-target
   stopping rules;
 * :mod:`.strata` — plan-shape strata (contiguous rank intervals keyed by

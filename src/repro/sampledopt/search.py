@@ -1,9 +1,11 @@
 """Best-of-k sampled optimization with fragment recombination.
 
 The driver loop is anytime: draw a batch of uniform (optionally
-stratified) ranks, unrank and batch-cost them, update the incumbent,
-consult the stopping rule, repeat until the rule fires or the wall-clock
-budget runs out.  Two incumbents are tracked:
+stratified) ranks, price and pool each one in a single walk over the
+candidate lists (``FragmentPool.add_rank``; no sampled plan is ever
+assembled), update the incumbent, consult the stopping rule, repeat
+until the rule fires or the wall-clock budget runs out.  Two incumbents
+are tracked:
 
 * the **best sampled plan** — plain best-of-k, the quantity the paper's
   cost-distribution experiments (and the quantile-target guarantee)
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
-from repro.errors import PlanSpaceError, ReproError
+from repro.errors import PlanSpaceError, RankOutOfRangeError, ReproError
 from repro.obs.trace import active_tracer, phase as obs_phase
 from repro.optimizer.plan import PlanNode
 from repro.planspace.implicit.space import ImplicitPlanSpace
@@ -77,37 +79,64 @@ class BatchPoint:
 class FragmentPool:
     """Sampled plan fragments, pooled by ``(group, requirement)`` context.
 
-    ``add_plan`` walks a sampled plan and its virtual operator rows in
-    lockstep, recording which rows have been observed in which context;
-    ``solve`` runs the dynamic program and assembles the best recombined
-    plan.  Both are iterative over explicit stacks, so chain-query plans
-    of any depth are safe.
+    ``add_rank`` walks a drawn rank through the candidate lists, recording
+    which rows it picks in which context together with their local costs;
+    ``solve`` runs the dynamic program over those costs and ``assemble``
+    builds the best recombined plan.  All walks use explicit stacks, so
+    chain-query plans of any depth are safe.
     """
 
     def __init__(self, space: ImplicitPlanSpace, coster: SampledPlanCoster):
         self.space = space
         self.tables = space.unranker.tables
-        self.coster = coster
+        self.rows = coster.rows
         state = space.state
         self.root_ctx = (state.layout.root_gid, state.root_kid)
-        #: ctx -> {local_id: Row}
-        self.fragments: dict[tuple, dict[int, object]] = {}
+        self.total = space.count()
+        #: ctx -> {local_id: (Row, local cost)}
+        self.fragments: dict[tuple, dict[int, tuple]] = {}
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self.fragments.values())
 
-    def add_plan(self, plan: PlanNode) -> None:
-        tables = self.tables
+    def add_rank(self, rank: int) -> float:
+        """Pool the plan with number ``rank``; return its cost.
+
+        One walk over the rank's path: at each context the candidate list
+        picks the row, the local rank splits over the row's slots by the
+        same mixed-radix recurrence as ``ImplicitUnranker``, and the row's
+        cached local cost joins the sum.  Children are pushed in slot
+        order and popped last first — ``CostModel.plan_cost``'s visiting
+        order — so the sum equals ``plan_cost(space.unrank(rank))`` to
+        the bit, without building the plan.
+        """
+        if not 0 <= rank < self.total:
+            raise RankOutOfRangeError(rank, self.total)
+        candidates = self.tables.candidates
         fragments = self.fragments
-        stack = [(plan, self.root_ctx)]
+        local_cost = self.rows.local_cost
+        total = 0.0
+        stack = [(self.root_ctx, rank)]
         while stack:
-            node, ctx = stack.pop()
-            row = tables.row(node.group_id, node.local_id)
+            ctx, list_rank = stack.pop()
+            row, local = candidates(*ctx).pick(list_rank)
             pooled = fragments.get(ctx)
             if pooled is None:
                 fragments[ctx] = pooled = {}
-            pooled[node.local_id] = row
-            stack.extend(zip(node.children, row.slots))
+            entry = pooled.get(row.local_id)
+            if entry is None:
+                entry = pooled[row.local_id] = (row, local_cost(ctx[0], row))
+            total += entry[1]
+            slots = row.slots
+            if slots:
+                # R_v / s_v mixed-radix split, highest slot first
+                prefix = row.prefix
+                sub_ranks = [0] * len(slots)
+                for i in range(len(slots) - 1, 0, -1):
+                    sub_ranks[i], local = divmod(local, prefix[i])
+                sub_ranks[0] = local
+                stack.extend(zip(slots, sub_ranks))
+        return total
 
     # ------------------------------------------------------------------
     def solve(self) -> tuple[float, dict[tuple, int]]:
@@ -118,7 +147,6 @@ class FragmentPool:
         context is solved once per call.
         """
         fragments = self.fragments
-        local_cost = self.coster.rows.local_cost
         best: dict[tuple, float] = {}
         choice: dict[tuple, int] = {}
         stack: list[tuple[tuple, bool]] = [(self.root_ctx, False)]
@@ -131,16 +159,14 @@ class FragmentPool:
                 raise PlanSpaceError(f"no sampled fragment for context {ctx}")
             if not ready:
                 stack.append((ctx, True))
-                for row in rows.values():
+                for row, _cost in rows.values():
                     for slot in row.slots:
                         if slot not in best:
                             stack.append((slot, False))
                 continue
             best_cost = None
             best_local = None
-            gid = ctx[0]
-            for local_id, row in rows.items():
-                cost = local_cost(gid, row)
+            for local_id, (row, cost) in rows.items():
                 for slot in row.slots:
                     cost += best[slot]
                 if best_cost is None or cost < best_cost:
@@ -158,7 +184,7 @@ class FragmentPool:
         # A method, not a recursive closure: a closure that calls itself
         # is a reference cycle and would outlive the run until a full GC.
         gid = ctx[0]
-        row = self.fragments[ctx][choice[ctx]]
+        row = self.fragments[ctx][choice[ctx]][0]
         children = tuple(self._build(slot, choice) for slot in row.slots)
         return PlanNode(
             op=self.tables.operator(gid, row),
@@ -279,9 +305,8 @@ class SampledOptimizer:
     ) -> SampledOptimizationResult:
         """See :meth:`_optimize`; the cycle collector is paused for the
         duration (as in ``Optimizer.optimize``): sampling allocates many
-        short-lived tuples and acyclic ``PlanNode`` trees, and on a large
-        heap — e.g. a memo from an earlier exhaustive run — generational
-        passes only add pauses."""
+        short-lived tuples, and on a large heap — e.g. a memo from an
+        earlier exhaustive run — generational passes only add pauses."""
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -369,6 +394,9 @@ class SampledOptimizer:
             self.catalog, space, self.options.cost_params
         )
         pool = FragmentPool(space, coster)
+        add_rank = pool.add_rank
+        tables = pool.tables
+        operators_before = tables.operators_built
         if stratified:
             sampler = StratifiedSampler(space, seed=seed)
             draw = sampler.sample_ranks
@@ -394,9 +422,8 @@ class SampledOptimizer:
                 scope.checkpoint("sampled.batch", batch)
             tick = time.perf_counter()
             ranks = draw(batch)
-            plans, costs = coster.cost_ranks(ranks)
-            for rank, plan, cost in zip(ranks, plans, costs):
-                pool.add_plan(plan)
+            for rank in ranks:
+                cost = add_rank(rank)
                 if cost < best_sampled_cost:
                     best_sampled_cost = cost
                     best_sampled_rank = rank
@@ -433,7 +460,13 @@ class SampledOptimizer:
             tracer.record(
                 "sample",
                 sample_time,
-                counters={"samples": drawn, "batches": batches},
+                counters={
+                    "samples": drawn,
+                    "batches": batches,
+                    "rows_priced": len(coster.rows),
+                    "operators_built": tables.operators_built
+                    - operators_before,
+                },
             )
             tracer.record(
                 "recombine", solve_time, counters={"fragments": len(pool)}

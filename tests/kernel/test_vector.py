@@ -23,6 +23,7 @@ from repro.kernel.vector import (
     prefix_interval_ends,
     prefix_intervals,
     range_min_pairs,
+    sorted_unique,
     union_words_by_mask,
 )
 
@@ -211,6 +212,28 @@ class TestSegmentedPrimitives:
         uniq, first = first_occurrence_order(np, codes)
         assert uniq.tolist() == [5, 3, 9, 1]
         assert first.tolist() == [0, 1, 3, 5]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [4, 4, 4, 4], [-3, 9, -3, 0, 9, 2**40]],
+        ids=["empty", "single", "all-equal", "signed"],
+    )
+    def test_sorted_unique_matches_np_unique(self, values):
+        a = np.array(values, np.int64)
+        got = sorted_unique(np, a)
+        want = np.unique(a)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sorted_unique_random_with_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 200, size=1000).astype(np.int64)
+        before = a.copy()
+        got = sorted_unique(np, a)
+        assert np.array_equal(got, np.unique(a))
+        assert len(got) < len(a)  # duplicates were present
+        assert np.array_equal(a, before)  # input untouched
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_union_words_by_mask_matches_loop(self, seed):

@@ -98,10 +98,9 @@ class TestFragmentPool:
         )
         coster = SampledPlanCoster(chain3.catalog, space)
         pool = FragmentPool(space, coster)
-        plans = space.sample(40, seed=5)
         previous = float("inf")
-        for i, plan in enumerate(plans):
-            pool.add_plan(plan)
+        for rank in space.sample_ranks(40, seed=5):
+            assert pool.add_rank(rank) == coster.cost(space.unrank(rank))
             cost, choice = pool.solve()
             assert cost <= previous + 1e-9  # monotone in the pool
             previous = cost
@@ -115,8 +114,9 @@ class TestFragmentPool:
         coster = SampledPlanCoster(chain3.catalog, space)
         pool = FragmentPool(space, coster)
         plan = space.unrank(123)
-        pool.add_plan(plan)
+        assert pool.add_rank(123) == coster.cost(plan)
         cost, choice = pool.solve()
+        # the DP sums per context, not in plan_cost's node order
         assert cost == pytest.approx(coster.cost(plan), rel=1e-12)
         assert pool.assemble(choice).fingerprint() == plan.fingerprint()
 
